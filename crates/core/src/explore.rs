@@ -1767,8 +1767,10 @@ impl Explorer {
         })
     }
 
-    /// Proposes mutations guided by the utilization statistics.
-    fn propose(&self, machine: &Machine, ev: &Evaluation) -> Vec<Mutation> {
+    /// Proposes mutations guided by the utilization statistics of `ev`,
+    /// the evaluation of `machine` — the neighbours one round explores.
+    #[must_use]
+    pub fn propose(&self, machine: &Machine, ev: &Evaluation) -> Vec<Mutation> {
         let mut out = Vec::new();
         // Aggregate dynamic counts.
         let mut counts = std::collections::HashMap::new();

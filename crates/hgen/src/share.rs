@@ -23,9 +23,17 @@
 //! Bron–Kerbosch (with pivoting); a greedy cover then assigns each
 //! node to one clique, and the datapath instantiates one functional
 //! unit per clique.
+//!
+//! The planner runs on every candidate an exploration evaluates, so it
+//! works on bitsets: the matrix is one row of `u64` words per node,
+//! Bron–Kerbosch keeps `P` as a bitset, and each cover round scores a
+//! clique by `popcount(clique ∩ uncovered)`. Rule 4's verdict depends
+//! only on the two operations, so each operation pair is decided once
+//! per plan, however many nodes the two operations own.
 
 use isdl::model::{CExpr, Constraint, Machine, OpRef};
 use isdl::rtl::StorageId;
+use std::collections::HashMap;
 use vlog::ast::VBinOp;
 
 /// The task class of a shareable node (rule 2).
@@ -124,31 +132,93 @@ pub fn plan(machine: &Machine, nodes: &[ShareNode], opts: ShareOptions) -> Share
     if !opts.enabled || nodes.is_empty() {
         return SharePlan { groups: (0..nodes.len()).map(|i| vec![i]).collect() };
     }
-    let matrix = compatibility_matrix(machine, nodes, opts);
-    let cliques = maximal_cliques(&matrix);
-    SharePlan { groups: clique_cover(nodes.len(), cliques, &matrix) }
+    let graph = compatibility_graph(machine, nodes, opts);
+    let cliques = maximal_cliques(&graph);
+    SharePlan { groups: clique_cover(nodes.len(), &cliques) }
 }
 
-/// Builds the `n × n` compatibility matrix.
-#[must_use]
-pub fn compatibility_matrix(
-    machine: &Machine,
-    nodes: &[ShareNode],
-    opts: ShareOptions,
-) -> Vec<Vec<bool>> {
-    let n = nodes.len();
-    let mut m = vec![vec![false; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let ok = compatible(machine, &nodes[i], &nodes[j], opts);
-            m[i][j] = ok;
-            m[j][i] = ok;
+/// An undirected graph on nodes `0..n`, stored as one adjacency row of
+/// `u64` words per node (bit `j` of row `i` set iff `i`–`j` is an edge).
+/// `n` fits a `u32`, the width cliques store their members at.
+#[derive(Debug)]
+struct Graph {
+    n: usize,
+    words: usize,
+    adj: Vec<u64>,
+}
+
+impl Graph {
+    fn new(n: usize) -> Self {
+        assert!(u32::try_from(n).is_ok(), "{n} share nodes overflow u32 node indices");
+        let words = n.div_ceil(64);
+        Self { n, words, adj: vec![0; n * words] }
+    }
+
+    fn connect(&mut self, i: usize, j: usize) {
+        self.adj[i * self.words + j / 64] |= 1 << (j % 64);
+        self.adj[j * self.words + i / 64] |= 1 << (i % 64);
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.adj[i * self.words..(i + 1) * self.words]
+    }
+
+    /// The set of all nodes.
+    fn full(&self) -> Vec<u64> {
+        let mut set = vec![u64::MAX; self.words];
+        if let Some(last) = set.last_mut() {
+            *last >>= 64 * self.words - self.n;
+        }
+        set
+    }
+}
+
+fn contains(set: &[u64], v: usize) -> bool {
+    set[v / 64] >> (v % 64) & 1 == 1
+}
+
+fn remove(set: &mut [u64], v: usize) {
+    set[v / 64] &= !(1 << (v % 64));
+}
+
+fn is_empty(set: &[u64]) -> bool {
+    set.iter().all(|&w| w == 0)
+}
+
+/// `|a ∩ b|`.
+fn common(a: &[u64], b: &[u64]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
+}
+
+/// The members of a set, ascending.
+fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(k, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                k * 64 + b
+            })
+        })
+    })
+}
+
+/// Builds the compatibility graph `A` of the node set.
+fn compatibility_graph(machine: &Machine, nodes: &[ShareNode], opts: ShareOptions) -> Graph {
+    let mut rule4 = CrossField::new(machine, opts);
+    let mut graph = Graph::new(nodes.len());
+    for (i, a) in nodes.iter().enumerate() {
+        for (j, b) in nodes.iter().enumerate().skip(i + 1) {
+            if compatible(a, b, &mut rule4) {
+                graph.connect(i, j);
+            }
         }
     }
-    m
+    graph
 }
 
-fn compatible(machine: &Machine, a: &ShareNode, b: &ShareNode, opts: ShareOptions) -> bool {
+fn compatible(a: &ShareNode, b: &ShareNode, rule4: &mut CrossField<'_>) -> bool {
     // Rule 2: same task class and width.
     if a.class != b.class || a.width != b.width {
         return false;
@@ -162,13 +232,39 @@ fn compatible(machine: &Machine, a: &ShareNode, b: &ShareNode, opts: ShareOption
         return true;
     }
     // Rule 4: different fields — only with proof of exclusivity.
-    if opts.use_hints && hinted_together(machine, a.owner.op, b.owner.op) {
-        return true;
+    rule4.exclusive(a.owner.op, b.owner.op)
+}
+
+/// Rule 4's verdicts, decided once per operation pair: many nodes share
+/// an owner operation, and the constraint proof depends only on the
+/// two operations.
+struct CrossField<'m> {
+    machine: &'m Machine,
+    opts: ShareOptions,
+    /// Every field a constraint mentions, sorted and deduplicated.
+    constraint_fields: Vec<usize>,
+    verdicts: HashMap<(OpRef, OpRef), bool>,
+}
+
+impl<'m> CrossField<'m> {
+    fn new(machine: &'m Machine, opts: ShareOptions) -> Self {
+        Self {
+            machine,
+            opts,
+            constraint_fields: constraint_fields(machine),
+            verdicts: HashMap::new(),
+        }
     }
-    if opts.use_constraints && constraints_exclude(machine, a.owner.op, b.owner.op) {
-        return true;
+
+    /// Whether operations `a` and `b` of different fields are proven
+    /// never to co-occur. The verdict is symmetric.
+    fn exclusive(&mut self, a: OpRef, b: OpRef) -> bool {
+        let (machine, opts, fields) = (self.machine, self.opts, &self.constraint_fields);
+        *self.verdicts.entry((a.min(b), a.max(b))).or_insert_with(|| {
+            (opts.use_hints && hinted_together(machine, a, b))
+                || (opts.use_constraints && excluded_by(machine, fields, a, b))
+        })
     }
-    false
 }
 
 /// Whether an `archinfo` share hint names both operations.
@@ -180,6 +276,11 @@ fn hinted_together(machine: &Machine, a: OpRef, b: OpRef) -> bool {
 /// selected in the same instruction.
 #[must_use]
 pub fn constraints_exclude(machine: &Machine, a: OpRef, b: OpRef) -> bool {
+    excluded_by(machine, &constraint_fields(machine), a, b)
+}
+
+/// [`constraints_exclude`], given the machine's [`constraint_fields`].
+fn excluded_by(machine: &Machine, constraint_fields: &[usize], a: OpRef, b: OpRef) -> bool {
     // Fast path: a two-operation forbid naming exactly this pair.
     for c in &machine.constraints {
         if let Constraint::Forbid(ops) = c {
@@ -191,10 +292,8 @@ pub fn constraints_exclude(machine: &Machine, a: OpRef, b: OpRef) -> bool {
     // General path: brute-force satisfiability over the fields any
     // constraint mentions (others pinned to an arbitrary op — their
     // value cannot matter to the mentioned constraints).
-    let mut mentioned: Vec<usize> = vec![a.field.0, b.field.0];
-    for c in &machine.constraints {
-        collect_fields(c, &mut mentioned);
-    }
+    let mut mentioned: Vec<usize> = constraint_fields.to_vec();
+    mentioned.extend([a.field.0, b.field.0]);
     mentioned.sort_unstable();
     mentioned.dedup();
     let combos: u64 = mentioned.iter().map(|&f| machine.fields[f].ops.len() as u64).product();
@@ -203,6 +302,17 @@ pub fn constraints_exclude(machine: &Machine, a: OpRef, b: OpRef) -> bool {
     }
     let mut selection: Vec<usize> = machine.fields.iter().map(|_| 0).collect();
     !any_valid_selection(machine, &mentioned, 0, &mut selection, a, b)
+}
+
+/// Every field any constraint mentions, sorted and deduplicated.
+fn constraint_fields(machine: &Machine) -> Vec<usize> {
+    let mut fields = Vec::new();
+    for c in &machine.constraints {
+        collect_fields(c, &mut fields);
+    }
+    fields.sort_unstable();
+    fields.dedup();
+    fields
 }
 
 fn collect_fields(c: &Constraint, out: &mut Vec<usize>) {
@@ -254,84 +364,153 @@ fn any_valid_selection(
     false
 }
 
-/// Enumerates all maximal cliques with Bron–Kerbosch (pivoting on the
-/// highest-degree vertex of `P ∪ X`).
-#[must_use]
-pub fn maximal_cliques(matrix: &[Vec<bool>]) -> Vec<Vec<usize>> {
-    let n = matrix.len();
-    let mut cliques = Vec::new();
-    let mut r = Vec::new();
-    let p: Vec<usize> = (0..n).collect();
-    let x = Vec::new();
-    bron_kerbosch(matrix, &mut r, p, x, &mut cliques);
-    cliques
+/// Enumerates all maximal cliques with Bron–Kerbosch, pivoting on the
+/// vertex of `P ∪ X` with most neighbours in `P` (the last such vertex,
+/// scanning `P` ascending and then `X` in insertion order). Each clique
+/// lists its members in the order they joined `R`.
+fn maximal_cliques(graph: &Graph) -> Cliques {
+    let mut bk = BronKerbosch {
+        graph,
+        r: Vec::new(),
+        sets: graph.full(),
+        xs: Vec::new(),
+        cliques: Cliques { members: Vec::new(), bounds: vec![0] },
+    };
+    bk.expand(0, 0);
+    bk.cliques
 }
 
-fn bron_kerbosch(
-    m: &[Vec<bool>],
-    r: &mut Vec<usize>,
-    p: Vec<usize>,
-    mut x: Vec<usize>,
-    out: &mut Vec<Vec<usize>>,
-) {
-    if p.is_empty() && x.is_empty() {
-        out.push(r.clone());
-        return;
+/// Cliques stored back to back: clique `k` is
+/// `members[bounds[k]..bounds[k + 1]]`. SPAM's datapath alone has
+/// thousands of maximal cliques, so members are `u32` node indices.
+#[derive(Debug)]
+struct Cliques {
+    members: Vec<u32>,
+    bounds: Vec<usize>,
+}
+
+impl Cliques {
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
     }
-    // Pivot: vertex of P ∪ X with most neighbours in P.
-    let pivot = p
-        .iter()
-        .chain(&x)
-        .copied()
-        .max_by_key(|&u| p.iter().filter(|&&v| m[u][v]).count())
-        .expect("P or X non-empty");
-    let candidates: Vec<usize> = p.iter().copied().filter(|&v| !m[pivot][v]).collect();
-    let mut p = p;
-    for v in candidates {
-        let p2: Vec<usize> = p.iter().copied().filter(|&u| m[v][u]).collect();
-        let x2: Vec<usize> = x.iter().copied().filter(|&u| m[v][u]).collect();
-        r.push(v);
-        bron_kerbosch(m, r, p2, x2, out);
-        r.pop();
-        p.retain(|&u| u != v);
-        x.push(v);
+
+    fn get(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
+        self.members[self.bounds[k]..self.bounds[k + 1]].iter().map(|&v| v as usize)
     }
 }
 
-/// Greedy clique cover: repeatedly take the largest clique restricted
-/// to still-uncovered nodes.
-fn clique_cover(n: usize, cliques: Vec<Vec<usize>>, matrix: &[Vec<bool>]) -> Vec<Vec<usize>> {
+/// Bron–Kerbosch state. The recursion keeps its sets on two stacks, so
+/// a call allocates nothing: each level's `P` and then its candidate
+/// set occupy `graph.words` words of `sets`, and each level's `X` is a
+/// run at the end of `xs`.
+struct BronKerbosch<'g> {
+    graph: &'g Graph,
+    r: Vec<u32>,
+    sets: Vec<u64>,
+    xs: Vec<usize>,
+    cliques: Cliques,
+}
+
+impl BronKerbosch<'_> {
+    /// Extends `R` from `P = sets[p..]` (the top of the stack) and
+    /// `X = xs[x..]`.
+    fn expand(&mut self, p: usize, x: usize) {
+        let (g, words) = (self.graph, self.graph.words);
+        if is_empty(&self.sets[p..]) {
+            if self.xs.len() == x {
+                self.cliques.members.extend_from_slice(&self.r);
+                self.cliques.bounds.push(self.cliques.members.len());
+            }
+            return;
+        }
+        let mut pivot = (0, 0);
+        for u in members(&self.sets[p..]).chain(self.xs[x..].iter().copied()) {
+            let degree = common(g.row(u), &self.sets[p..]);
+            if degree >= pivot.1 {
+                pivot = (u, degree);
+            }
+        }
+        // Candidates P \ N(pivot), a snapshot taken before P shrinks.
+        let c = p + words;
+        for (k, &n) in g.row(pivot.0).iter().enumerate() {
+            self.sets.push(self.sets[p + k] & !n);
+        }
+        for k in 0..words {
+            let mut word = self.sets[c + k];
+            while word != 0 {
+                let v = k * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let row = g.row(v);
+                for (j, &n) in row.iter().enumerate() {
+                    self.sets.push(self.sets[p + j] & n);
+                }
+                let x_end = self.xs.len();
+                for j in x..x_end {
+                    if contains(row, self.xs[j]) {
+                        self.xs.push(self.xs[j]);
+                    }
+                }
+                self.r.push(v as u32);
+                self.expand(c + words, x_end);
+                self.r.pop();
+                self.sets.truncate(c + words);
+                self.xs.truncate(x_end);
+                remove(&mut self.sets[p..c], v);
+                self.xs.push(v);
+            }
+        }
+        self.sets.truncate(c);
+    }
+}
+
+/// Greedy clique cover: repeatedly take the clique with most
+/// still-uncovered members (the last such clique on ties), restricted
+/// to those members — a subset of a clique is a clique.
+fn clique_cover(n: usize, cliques: &Cliques) -> Vec<Vec<usize>> {
+    // `score[k]` = uncovered members of clique `k`, kept current through
+    // an index of the cliques holding each node: node `v`'s cliques are
+    // `holding[start[v]..start[v + 1]]`.
+    let mut score: Vec<u32> = cliques.bounds.windows(2).map(|b| (b[1] - b[0]) as u32).collect();
+    let mut start = vec![0; n + 1];
+    for &v in &cliques.members {
+        start[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut holding = vec![0u32; start[n]];
+    let mut next = start.clone();
+    for k in 0..cliques.len() {
+        let id = u32::try_from(k).expect("clique count fits u32");
+        for v in cliques.get(k) {
+            holding[next[v]] = id;
+            next[v] += 1;
+        }
+    }
     let mut covered = vec![false; n];
     let mut groups = Vec::new();
-    let remaining = cliques;
     loop {
-        // Restrict cliques to uncovered nodes; keep them cliques (a
-        // subset of a clique is a clique).
-        let best = remaining
-            .iter()
-            .map(|c| c.iter().copied().filter(|&v| !covered[v]).collect::<Vec<_>>())
-            .max_by_key(Vec::len)
-            .unwrap_or_default();
-        if best.is_empty() {
+        let best = score.iter().copied().max().unwrap_or(0);
+        if best == 0 {
             break;
         }
-        for &v in &best {
+        let k = score.iter().rposition(|&s| s == best).expect("a maximum");
+        let group: Vec<usize> = cliques.get(k).filter(|&v| !covered[v]).collect();
+        for &v in &group {
             covered[v] = true;
+            for &h in &holding[start[v]..start[v + 1]] {
+                score[h as usize] -= 1;
+            }
         }
-        groups.push(best);
-        if covered.iter().all(|&c| c) {
-            break;
-        }
+        groups.push(group);
     }
     // Any isolated leftovers (no cliques at all for them).
-    for (v, &c) in covered.iter().enumerate() {
-        if !c {
-            groups.push(vec![v]);
-        }
-    }
-    let _ = matrix;
+    groups.extend((0..n).filter(|&v| !covered[v]).map(|v| vec![v]));
     groups
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -446,13 +625,13 @@ mod tests {
     #[test]
     fn bron_kerbosch_finds_triangle_and_edge() {
         // Graph: 0-1, 1-2, 0-2 (triangle), 3-4 (edge), 5 isolated.
-        let n = 6;
-        let mut m = vec![vec![false; n]; n];
+        let mut g = Graph::new(6);
         for &(a, b) in &[(0, 1), (1, 2), (0, 2), (3, 4)] {
-            m[a][b] = true;
-            m[b][a] = true;
+            g.connect(a, b);
         }
-        let mut cliques = maximal_cliques(&m);
+        let found = maximal_cliques(&g);
+        let mut cliques: Vec<Vec<usize>> =
+            (0..found.len()).map(|k| found.get(k).collect()).collect();
         for c in &mut cliques {
             c.sort_unstable();
         }

@@ -176,4 +176,24 @@ mod tests {
             two_level.report.area_cells
         );
     }
+
+    /// SPAM's Verilog, byte for byte, as generated before the sharing
+    /// planner moved onto bitsets (`testdata/spam.v`). A planner change
+    /// that alters any unit grouping or member order shows up here.
+    #[test]
+    fn spam_verilog_matches_the_golden_copy() {
+        let golden = include_str!("../testdata/spam.v");
+        let m = isdl::load(isdl::samples::SPAM).expect("loads");
+        let r = synthesize(&m, HgenOptions::default()).expect("synthesizes");
+        let first_difference = r.verilog.lines().zip(golden.lines()).position(|(a, b)| a != b);
+        assert!(
+            r.verilog == golden,
+            "SPAM Verilog differs from testdata/spam.v: first differing line {:?}, {} vs {} lines",
+            first_difference.map(|i| i + 1),
+            r.verilog.lines().count(),
+            golden.lines().count()
+        );
+        assert_eq!(r.stats.units_saved, 75);
+        assert_eq!(r.lines_of_verilog, 511);
+    }
 }

@@ -195,9 +195,19 @@ fn write_dump(dir: &Path, n: u64, reason: &str, doc: &Json) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// Serialises the tests that read or change the process-global dump
+    /// directory and dump counter; the test harness runs tests on
+    /// parallel threads.
+    fn global_state() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn notes_are_bounded_merged_and_dumpable() {
+        let _global = global_state();
         let before = dump_count();
         for i in 0..200u64 {
             note("test.flight", "step", Json::obj().with("i", i));
@@ -234,6 +244,7 @@ mod tests {
 
     #[test]
     fn capture_without_dir_inlines_a_tail() {
+        let _global = global_state();
         note("test.capture", "last thing", Json::obj());
         let had_dir = dump_dir();
         set_dump_dir(None);
@@ -247,6 +258,7 @@ mod tests {
 
     #[test]
     fn capture_with_dir_writes_a_parseable_file() {
+        let _global = global_state();
         let dir = std::env::temp_dir().join(format!("obs-flight-test-{}", std::process::id()));
         let had_dir = dump_dir();
         set_dump_dir(Some(dir.clone()));

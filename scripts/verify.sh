@@ -24,7 +24,16 @@ fi
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --release
+# `default-members` makes this cover the umbrella package and every
+# crate under crates/ (unit tests, integration suites, doc tests).
 run cargo test -q
+# Share-planner gate (see crates/hgen/src/share.rs): the bitset
+# planner must return exactly the plans of the `Vec<bool>` reference
+# oracle — every sample machine, every explorer mutation of SPAM,
+# random graphs across 64-bit word boundaries — and SPAM's Verilog
+# must stay byte-identical to testdata/spam.v. Also inside `cargo test
+# -q` above; named here so a planner regression fails loudly.
+run cargo test -q -p hgen
 # Robustness gates (see docs/ROBUSTNESS.md): fault containment,
 # deterministic retry/deadline supervision, and journaled
 # checkpoint/resume (including the `/1` fixture and the corruption

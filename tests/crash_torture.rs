@@ -6,6 +6,9 @@
 //! full seeded sweep (both thread counts, kill chains, SIGINT
 //! graceful-shutdown) runs under `--features slow-props`.
 
+mod common;
+
+use common::{test_dir, TestDir};
 use obs::Json;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -17,13 +20,13 @@ fn isdlc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_isdlc"))
 }
 
-/// A per-test scratch directory with the toy machine written out.
-fn scratch(name: &str) -> (PathBuf, String) {
-    let dir = std::env::temp_dir().join("crash-torture").join(name);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+/// A fresh per-test scratch directory with the toy machine written out.
+fn scratch(name: &str) -> (TestDir, String) {
+    let dir = test_dir(&format!("crash-torture-{name}"));
     let machine = dir.join("toy.isdl");
     std::fs::write(&machine, isdl::samples::TOY).expect("write machine");
-    (dir.clone(), machine.to_str().expect("utf8 path").to_owned())
+    let machine = machine.to_str().expect("utf8 path").to_owned();
+    (dir, machine)
 }
 
 fn explore_args(machine: &str, threads: usize, journal: &Path, trace: &Path) -> Vec<String> {

@@ -1,7 +1,10 @@
 //! Smoke tests for the `isdlc` command-line driver, run against the
 //! built binary.
 
-use std::io::Write as _;
+mod common;
+
+use common::test_dir;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn isdlc(args: &[&str]) -> (String, String, bool) {
@@ -13,12 +16,9 @@ fn isdlc(args: &[&str]) -> (String, String, bool) {
     )
 }
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("isdlc-cli-tests");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+fn write_temp(dir: &Path, name: &str, contents: &str) -> PathBuf {
     let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).expect("create temp file");
-    f.write_all(contents.as_bytes()).expect("write temp file");
+    std::fs::write(&path, contents).expect("write temp file");
     path
 }
 
@@ -33,9 +33,10 @@ fn check_summarizes_spam() {
 
 #[test]
 fn print_round_trips_through_check() {
+    let dir = test_dir("print_round_trips_through_check");
     let (printed, _, ok) = isdlc(&["print", "fixtures/spam2.isdl"]);
     assert!(ok);
-    let path = write_temp("printed_spam2.isdl", &printed);
+    let path = write_temp(&dir, "printed_spam2.isdl", &printed);
     let (stdout, _, ok) = isdlc(&["check", path.to_str().expect("utf8 path")]);
     assert!(ok, "printed description loads");
     assert!(stdout.contains("machine `spam2`"));
@@ -43,9 +44,13 @@ fn print_round_trips_through_check() {
 
 #[test]
 fn asm_run_and_disasm() {
-    let asm =
-        write_temp("sum.asm", "start: ldi 2\n addm ten\n sta 0\n halt\n.data\nten: .word 40\n");
-    let machine = write_temp("acc16.isdl", isdl::samples::ACC16);
+    let dir = test_dir("asm_run_and_disasm");
+    let asm = write_temp(
+        &dir,
+        "sum.asm",
+        "start: ldi 2\n addm ten\n sta 0\n halt\n.data\nten: .word 40\n",
+    );
+    let machine = write_temp(&dir, "acc16.isdl", isdl::samples::ACC16);
     let m = machine.to_str().expect("utf8 path");
     let a = asm.to_str().expect("utf8 path");
 
@@ -67,9 +72,10 @@ fn asm_run_and_disasm() {
 
 #[test]
 fn batch_script_executes() {
-    let asm = write_temp("b.asm", "ldi 5\nhalt\n");
-    let script = write_temp("b.script", "step 1\nx ACC\nrun\n");
-    let machine = write_temp("acc16b.isdl", isdl::samples::ACC16);
+    let dir = test_dir("batch_script_executes");
+    let asm = write_temp(&dir, "b.asm", "ldi 5\nhalt\n");
+    let script = write_temp(&dir, "b.script", "step 1\nx ACC\nrun\n");
+    let machine = write_temp(&dir, "acc16b.isdl", isdl::samples::ACC16);
     let (stdout, _, ok) = isdlc(&[
         "batch",
         machine.to_str().expect("utf8"),
@@ -101,11 +107,12 @@ fn verilog_and_report() {
 
 #[test]
 fn errors_are_reported() {
+    let dir = test_dir("errors_are_reported");
     let (_, stderr, ok) = isdlc(&["check", "fixtures/does_not_exist.isdl"]);
     assert!(!ok);
     assert!(stderr.contains("cannot read"));
 
-    let bad = write_temp("bad.isdl", "machine \"x\" {");
+    let bad = write_temp(&dir, "bad.isdl", "machine \"x\" {");
     let (_, stderr, ok) = isdlc(&["check", bad.to_str().expect("utf8")]);
     assert!(!ok);
     assert!(stderr.contains("syntax error") || stderr.contains("error"), "{stderr}");
@@ -117,8 +124,9 @@ fn errors_are_reported() {
 
 #[test]
 fn wave_emits_vcd() {
-    let asm = write_temp("w.asm", "ldi 3\nshl1\nend: jmp end\n");
-    let machine = write_temp("acc16w.isdl", isdl::samples::ACC16);
+    let dir = test_dir("wave_emits_vcd");
+    let asm = write_temp(&dir, "w.asm", "ldi 3\nshl1\nend: jmp end\n");
+    let machine = write_temp(&dir, "acc16w.isdl", isdl::samples::ACC16);
     let (stdout, _, ok) =
         isdlc(&["wave", machine.to_str().expect("utf8"), asm.to_str().expect("utf8"), "8"]);
     assert!(ok);
@@ -130,8 +138,9 @@ fn wave_emits_vcd() {
 
 #[test]
 fn hex_and_tb_produce_usable_artifacts() {
-    let asm = write_temp("h.asm", "ldi 9\nhalt\n");
-    let machine = write_temp("acc16h.isdl", isdl::samples::ACC16);
+    let dir = test_dir("hex_and_tb_produce_usable_artifacts");
+    let asm = write_temp(&dir, "h.asm", "ldi 9\nhalt\n");
+    let machine = write_temp(&dir, "acc16h.isdl", isdl::samples::ACC16);
     let m = machine.to_str().expect("utf8");
 
     let (hex, _, ok) = isdlc(&["hex", m, asm.to_str().expect("utf8")]);

@@ -2,8 +2,11 @@
 //! validate the emitted `xsim-stats/1` / `xsim-trace/1` JSON against
 //! the invariants documented in `docs/OBSERVABILITY.md`.
 
+mod common;
+
+use common::test_dir;
 use obs::Json;
-use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn xsim(args: &[&str]) -> (String, String, bool) {
@@ -15,26 +18,24 @@ fn xsim(args: &[&str]) -> (String, String, bool) {
     )
 }
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("xsim-cli-tests");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+fn write_temp(dir: &Path, name: &str, contents: &str) -> PathBuf {
     let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).expect("create temp file");
-    f.write_all(contents.as_bytes()).expect("write temp file");
+    std::fs::write(&path, contents).expect("write temp file");
     path
 }
 
 const PROG: &str = "ldi 7\naddm ten\nsta 0\nhalt\n.data\n.org 20\nten: .word 10\n";
 
-fn fixture_paths() -> (String, String) {
-    let machine = write_temp("acc16.isdl", isdl::samples::ACC16);
-    let prog = write_temp("prog.asm", PROG);
+fn fixture_paths(dir: &Path) -> (String, String) {
+    let machine = write_temp(dir, "acc16.isdl", isdl::samples::ACC16);
+    let prog = write_temp(dir, "prog.asm", PROG);
     (machine.to_str().expect("utf8 path").to_owned(), prog.to_str().expect("utf8 path").to_owned())
 }
 
 #[test]
 fn stats_report_matches_documented_invariants() {
-    let (machine, prog) = fixture_paths();
+    let dir = test_dir("stats_report_matches_documented_invariants");
+    let (machine, prog) = fixture_paths(&dir);
     let (stdout, stderr, ok) = xsim(&[&machine, &prog, "--stats", "-"]);
     assert!(ok, "stderr: {stderr}");
     let json = Json::parse(&stdout).expect("stdout is pure JSON");
@@ -72,8 +73,9 @@ fn stats_report_matches_documented_invariants() {
 
 #[test]
 fn trace_report_is_written_to_file() {
-    let (machine, prog) = fixture_paths();
-    let out = write_temp("trace_out.json", "");
+    let dir = test_dir("trace_report_is_written_to_file");
+    let (machine, prog) = fixture_paths(&dir);
+    let out = write_temp(&dir, "trace_out.json", "");
     let out_path = out.to_str().expect("utf8 path");
     let (stdout, stderr, ok) =
         xsim(&[&machine, &prog, "--trace", out_path, "--trace-capacity", "2"]);
@@ -96,18 +98,19 @@ fn trace_report_is_written_to_file() {
 
 #[test]
 fn ring_eviction_keeps_the_exact_tail_and_round_trips() {
+    let dir = test_dir("ring_eviction_keeps_the_exact_tail_and_round_trips");
     // 12 instructions retire (ldi, ten addms, halt) through a 4-deep
     // ring: exactly the last four events survive, the `dropped` counter
     // accounts for every evicted one, and the same run through the
     // streaming sink loses nothing.
-    let machine = write_temp("acc16.isdl", isdl::samples::ACC16);
+    let machine = write_temp(&dir, "acc16.isdl", isdl::samples::ACC16);
     let machine = machine.to_str().expect("utf8 path");
     let mut src = String::from("ldi 0\n");
     for _ in 0..10 {
         src.push_str("addm ten\n");
     }
     src.push_str("halt\n.data\n.org 20\nten: .word 10\n");
-    let prog = write_temp("long.asm", &src);
+    let prog = write_temp(&dir, "long.asm", &src);
     let prog = prog.to_str().expect("utf8 path");
 
     let (stdout, stderr, ok) = xsim(&[machine, prog, "--trace", "-", "--trace-capacity", "4"]);
@@ -140,13 +143,14 @@ fn ring_eviction_keeps_the_exact_tail_and_round_trips() {
 
 #[test]
 fn fuel_budget_terminates_a_looping_program() {
+    let dir = test_dir("fuel_budget_terminates_a_looping_program");
     // A program that never halts must still terminate under a fuel
     // budget, reporting exactly how far it got.
-    let machine = write_temp("acc16.isdl", isdl::samples::ACC16);
+    let machine = write_temp(&dir, "acc16.isdl", isdl::samples::ACC16);
     let machine = machine.to_str().expect("utf8 path");
     // A single self-jump is the `end: jmp end` halt idiom; two jumps
     // ping-ponging is a genuine infinite loop.
-    let prog = write_temp("spin.asm", "spin: jmp spin2\nspin2: jmp spin\n");
+    let prog = write_temp(&dir, "spin.asm", "spin: jmp spin2\nspin2: jmp spin\n");
     let prog = prog.to_str().expect("utf8 path");
 
     let (stdout, stderr, ok) = xsim(&[machine, prog, "--fuel", "25", "--stats", "-"]);
@@ -165,10 +169,11 @@ fn fuel_budget_terminates_a_looping_program() {
 
 #[test]
 fn bad_usage_fails_cleanly() {
+    let dir = test_dir("bad_usage_fails_cleanly");
     let (_, stderr, ok) = xsim(&[]);
     assert!(!ok);
     assert!(stderr.contains("usage:"), "{stderr}");
-    let (machine, prog) = fixture_paths();
+    let (machine, prog) = fixture_paths(&dir);
     let (_, stderr, ok) = xsim(&[&machine, &prog, "--frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown flag"), "{stderr}");
@@ -179,7 +184,8 @@ fn bad_usage_fails_cleanly() {
 
 #[test]
 fn core_choice_does_not_change_the_stats() {
-    let (machine, prog) = fixture_paths();
+    let dir = test_dir("core_choice_does_not_change_the_stats");
+    let (machine, prog) = fixture_paths(&dir);
     let run = |extra: &[&str]| {
         let mut args = vec![machine.as_str(), prog.as_str(), "--stats", "-"];
         args.extend_from_slice(extra);
